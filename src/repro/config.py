@@ -183,6 +183,15 @@ class MpiParams:
     #: Radix for shapes that take one (k-nomial); ignored by the rest.
     tree_radix: int = 2
 
+    def __post_init__(self) -> None:
+        from .topo.trees import TREE_SHAPES
+        if self.tree_shape != "auto" and self.tree_shape not in TREE_SHAPES:
+            raise ConfigError(
+                f"unknown tree_shape {self.tree_shape!r}; known: auto, "
+                f"{', '.join(sorted(TREE_SHAPES))}")
+        if self.tree_radix < 2:
+            raise ConfigError(f"tree_radix must be >= 2: {self.tree_radix}")
+
 
 @dataclass(frozen=True)
 class AbParams:

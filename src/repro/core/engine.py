@@ -4,12 +4,13 @@ One :class:`AbEngine` is attached to each rank of an AB-build MPI library
 (:class:`repro.mpich.rank.MpiRank`).  It plays three roles:
 
 1. **Reduce entry point** (:meth:`AbEngine.reduce`) — the synchronous
-   component executed inside ``MPI_Reduce`` (paper Fig. 3): decide
-   ab-vs-fallback, build and enqueue the reduce descriptor, consume whatever
-   child contributions already arrived (from the AB unexpected queue or via
-   explicitly triggered progress), optionally linger inside the exit-delay
-   window (Sec. IV-E), then return — enabling NIC signals if any descriptor
-   is still outstanding.
+   component executed inside ``MPI_Reduce`` (paper Fig. 3) on non-root
+   ranks, once the schedule interpreter has decided ab-vs-fallback: build
+   and enqueue the reduce descriptor, consume whatever child contributions
+   already arrived (from the AB unexpected queue or via explicitly
+   triggered progress), optionally linger inside the exit-delay window
+   (Sec. IV-E), then return — enabling NIC signals if any descriptor is
+   still outstanding.
 
 2. **Progress-engine hook** (:meth:`AbEngine.preprocess`, Fig. 4 gray boxes)
    — pre-processes every incoming packet: non-AB packets pass through;
@@ -40,7 +41,6 @@ import numpy as np
 from ..config import AbParams
 from ..errors import AbProtocolError
 from ..mpich.collectives import tree
-from ..mpich.collectives.reduce import reduce_nab
 from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, AbHeader, Envelope
 from ..mpich.operations import Op
@@ -191,70 +191,30 @@ class AbEngine:
     # role 1: the MPI_Reduce entry point (synchronous component, Fig. 3)
     # ==================================================================
     def reduce(self, sendbuf: np.ndarray, op: Op, root: int,
-               comm: Communicator,
-               recvbuf: Optional[np.ndarray] = None, *,
-               plan: Optional[CollectivePlan] = None) -> Generator:
-        """Application-bypass ``MPI_Reduce`` (falls back where the paper
-        does: message beyond the eager limit → default everywhere; root and
-        leaf ranks → default behaviour with AB packet framing).
+               comm: Communicator, *, plan: CollectivePlan,
+               segments=None) -> Generator:
+        """Application-bypass ``MPI_Reduce`` on a non-root rank.
 
-        ``plan`` carries schedule-resolved neighbors (see
-        :mod:`repro.core.interpreter`); healing overrides it."""
-        size = comm.size
-        me = comm.rank_of_world(self.rank.rank)
-        if not (0 <= root < size):
-            raise ValueError(f"root {root} outside communicator of size {size}")
-
+        The schedule interpreter (:mod:`repro.core.interpreter`) has already
+        made the ab-vs-fallback decision, walks the root itself, and passes
+        the schedule-resolved neighbors as ``plan`` and the pipeline's
+        ``segments`` (None for a whole message).  Tree healing overrides
+        ``plan``: faults always win."""
         ledger = Ledger()
         ledger.charge(self.costs.call_overhead_us, "mpi")
         ledger.charge(self.costs.ab_decision_us, "ab")
-
-        nbytes = sendbuf.nbytes
-        if self.pipeline is not None and size > 1:
-            # Pipelined path (repro.pipeline): checked before the size
-            # fallback because segmentation is exactly what opens the
-            # large-message AB path — each segment travels eager-sized.
-            segments = self.pipeline.plan_for(sendbuf)
-            if segments is not None:
-                result = yield from self.pipeline.reduce(
-                    sendbuf, op, root, comm, recvbuf, ledger, segments,
-                    plan=plan)
-                return result
-        if nbytes > min(self.costs.ab_eager_limit_bytes,
-                        self.costs.eager_limit_bytes):
-            # Rendezvous-sized payload: the whole tree falls back (every
-            # rank sees the same size, so the decision is globally
-            # consistent and no instance number is consumed).
-            self.stats.fallback_size += 1
-            yield Busy.from_ledger(ledger)
-            result = yield from reduce_nab(self.rank, sendbuf, op, root,
-                                           comm, recvbuf)
+        if segments is not None:
+            result = yield from self.pipeline.reduce(
+                sendbuf, op, root, comm, ledger, segments, plan=plan)
             return result
 
-        if size == 1:
-            yield Busy.from_ledger(ledger)
-            if recvbuf is not None:
-                recvbuf[...] = np.asarray(sendbuf).reshape(recvbuf.shape)
-                return recvbuf
-            return np.array(sendbuf, copy=True)
-
+        size = comm.size
+        me = comm.rank_of_world(self.rank.rank)
         instance = self._next_instance(comm)
         ledger.charge(self.costs.tree_setup_us, "mpi")
         rel = tree.relative_rank(me, root, size)
         root_world = comm.world_rank(root)
-
-        if rel == 0:
-            # The root cannot bypass: MPI_Reduce must return the full result
-            # (paper Sec. II).  Children's AB packets are routed to the
-            # default matching path by the hook.
-            self.stats.root_reduces += 1
-            yield Busy.from_ledger(ledger)
-            result = yield from reduce_nab(self.rank, sendbuf, op, root,
-                                           comm, recvbuf)
-            return result
-
-        shape = self.rank.tree_shape_for(nbytes)
-        kids_rel = shape.children(rel, size)
+        shape = self.rank.tree_shape_for(sendbuf.nbytes)
         header = AbHeader(root=root_world, instance=instance, kind="reduce")
         if self._heal:
             # Fault-tolerant construction: crashed subtrees are replaced by
@@ -269,23 +229,14 @@ class AbEngine:
                 self._report_fault("send_rerouted", instance=instance,
                                    parent=parent_world)
             children_world, healed = self._live_fringe(
-                comm, shape, root, size, kids_rel)
+                comm, shape, root, size, shape.children(rel, size))
             if healed:
                 self.stats.subtrees_healed += healed
                 self._report_fault("subtree_healed", instance=instance,
                                    healed=healed)
-        elif plan is not None:
-            # Schedule-injected neighbors: the interpreter already resolved
-            # the tree; healed runs recompute above instead.
+        else:
             parent_world = plan.parent_world
             children_world = list(plan.children_world)
-        else:
-            parent_world = comm.world_rank(
-                tree.absolute_rank(shape.parent(rel, size), root, size))
-            children_world = [
-                comm.world_rank(tree.absolute_rank(c, root, size))
-                for c in kids_rel
-            ]
         if not children_world:
             # Leaf — by tree position, or because every subtree below this
             # rank crashed: one AB-framed eager send to the parent; nothing

@@ -111,7 +111,7 @@ class SplitPhaseReduce:
             # The ordinary AB path already returns without blocking for
             # non-root ranks; the eager snapshot makes the send buffer
             # immediately reusable.
-            yield from self.engine.reduce(np.asarray(sendbuf), op, root, comm)
+            yield from self.engine.rank.reduce(sendbuf, op, root, comm)
             handle = ReduceHandle(comm, root, -1, is_root=False)
             handle.trigger.fire(None)
             return handle

@@ -1,19 +1,21 @@
-"""Collective algorithms over the binomial tree and dissemination patterns."""
+"""Collectives that are not tree schedules, plus the tree arithmetic.
+
+Reduce, bcast and allreduce are schedules: ``MpiRank`` lowers them with
+:mod:`repro.schedule.lower` and runs them through
+:mod:`repro.core.interpreter`.  What stays here is the dissemination
+barrier, the linear gather, scatter and the allgather ring, and
+:mod:`.tree`, the relative/absolute rank arithmetic the lowerings and
+``repro.topo`` share.
+"""
 
 from . import tree
-from .allreduce import allreduce_reduce_bcast
 from .barrier import barrier_dissemination
-from .bcast import bcast_binomial
 from .gather import gather_linear
-from .reduce import reduce_nab
 from .scatter import allgather_ring, scatter
 
 __all__ = [
     "tree",
-    "reduce_nab",
-    "bcast_binomial",
     "barrier_dissemination",
-    "allreduce_reduce_bcast",
     "gather_linear",
     "scatter",
     "allgather_ring",

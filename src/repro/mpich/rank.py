@@ -29,6 +29,7 @@ from ..errors import MpiError
 from ..sim.cpu import Ledger
 from ..sim.process import Busy
 from .communicator import Communicator
+from .datatypes import DOUBLE
 from .message import ANY_TAG, AbHeader
 from .operations import SUM, Op
 from .progress import ProgressEngine
@@ -171,30 +172,48 @@ class MpiRank:
                recvbuf: Optional[np.ndarray] = None) -> Generator:
         """``MPI_Reduce``.  Returns the result array at the root, else None.
 
-        On the AB build, eligible calls run the paper's application-bypass
-        protocol; root/leaf ranks and messages beyond the eager limit fall
-        back to the default implementation (paper Sec. V-B).
+        Runs the ``reduce.nab`` schedule (MPICH's tree reduce) or, on the AB
+        build, ``reduce.ab``: the paper's application-bypass protocol, with
+        the root folding on the host and messages beyond the eager limit
+        falling back to ``reduce.nab`` (paper Sec. V-B).  Either may be
+        segmented when the pipeline subsystem is armed.
         """
-        from .collectives.reduce import reduce_nab
+        from ..core.interpreter import (check_root, execute_schedule,
+                                        reduce_route)
         comm = comm or self.comm_world
         sendbuf = np.asarray(sendbuf)
-        if self.ab is not None:
-            result = yield from self.ab.reduce(sendbuf, op, root, comm,
-                                               recvbuf)
-        else:
-            result = yield from reduce_nab(self, sendbuf, op, root, comm,
-                                           recvbuf)
+        check_root(root, comm)
+        ab, nseg = yield from reduce_route(self, sendbuf, comm.size)
+        schedule = self._schedule("reduce.ab" if ab else "reduce.nab",
+                                  sendbuf.nbytes, comm, root, nseg)
+        result = yield from execute_schedule(self, schedule, sendbuf, op, comm,
+                                             recvbuf)
         return result
 
     def bcast(self, data: Optional[np.ndarray], root: int = 0,
               comm: Optional[Communicator] = None,
               count: Optional[int] = None,
               dtype=None) -> Generator:
-        """``MPI_Bcast``; returns the broadcast array on every rank."""
-        from .collectives.bcast import bcast_binomial
+        """``MPI_Bcast`` (the ``bcast.tree`` schedule); returns the broadcast
+        array on every rank.
+
+        Non-root ranks either pass a pre-sized ``data`` buffer or give
+        ``count`` (and optionally ``dtype``, default double) for allocation.
+        """
+        from ..core.interpreter import (check_root, execute_schedule,
+                                        nab_segments)
         comm = comm or self.comm_world
-        result = yield from bcast_binomial(self, data, root, comm,
-                                           count=count, dtype=dtype)
+        check_root(root, comm)
+        if (data is None and count is not None
+                and comm.rank_of_world(self.rank) != root):
+            data = (dtype or DOUBLE).buffer(count)
+        nbytes, nseg = 0, 0
+        if data is not None:
+            buf = np.asarray(data)
+            segments = nab_segments(self, buf)
+            nbytes, nseg = buf.nbytes, len(segments) if segments else 0
+        schedule = self._schedule("bcast.tree", nbytes, comm, root, nseg)
+        result = yield from execute_schedule(self, schedule, data, comm=comm)
         return result
 
     def barrier(self, comm: Optional[Communicator] = None) -> Generator:
@@ -205,12 +224,33 @@ class MpiRank:
 
     def allreduce(self, sendbuf: np.ndarray, op: Op = SUM,
                   comm: Optional[Communicator] = None) -> Generator:
-        """``MPI_Allreduce`` (reduce-to-0 + broadcast, MPICH 1.2.x style)."""
-        from .collectives.allreduce import allreduce_reduce_bcast
+        """``MPI_Allreduce``: reduce to comm rank 0, then broadcast (MPICH
+        1.2.x) — ``allreduce.reduce_bcast``, or ``allreduce.ab`` on the AB
+        build.  When the AB build pipelines the message it runs
+        ``allreduce.pipelined`` instead: the root broadcasts each segment as
+        soon as its fold completes, overlapping the reduce of later segments
+        with the broadcast of earlier ones (Träff).
+        """
+        from ..core.interpreter import execute_schedule, reduce_route
         comm = comm or self.comm_world
-        result = yield from allreduce_reduce_bcast(self, np.asarray(sendbuf),
-                                                   op, comm)
+        sendbuf = np.asarray(sendbuf)
+        ab, nseg = yield from reduce_route(self, sendbuf, comm.size)
+        if not ab:
+            lowering = "allreduce.reduce_bcast"
+        elif nseg:
+            lowering = "allreduce.pipelined"
+        else:
+            lowering = "allreduce.ab"
+        schedule = self._schedule(lowering, sendbuf.nbytes, comm, 0, nseg)
+        result = yield from execute_schedule(self, schedule, sendbuf, op, comm)
         return result
+
+    def _schedule(self, lowering: str, nbytes: int, comm: Communicator,
+                  root: int, nseg: int):
+        """The memoized schedule for this rank's tree and message size."""
+        from ..schedule.lower import lower_cached
+        return lower_cached(lowering, self.tree_shape_for(nbytes), comm.size,
+                            root=root, nseg=nseg)
 
     def gather(self, senddata: np.ndarray, root: int = 0,
                comm: Optional[Communicator] = None) -> Generator:

@@ -1,4 +1,4 @@
-"""Pipelined application-bypass reduce / allreduce (repro.pipeline).
+"""Pipelined application-bypass reduce (repro.pipeline).
 
 The whole-message AB protocol (``repro.core.engine``) gives every internal
 node exactly one reduce descriptor per collective; descriptors match
@@ -13,11 +13,13 @@ descriptor, all inside the progress hook, with no application involvement
 identity and are matched exactly, because FIFO matching cannot tell two
 open segments of the same instance apart.
 
-The pipelined **allreduce** composes the segmented reduce with the
+The pipelined **allreduce** (the ``allreduce.pipelined`` lowering, run by
+:mod:`repro.core.interpreter`) composes this reduce with the
 application-bypass broadcast extension (:mod:`repro.core.broadcast`),
 Träff-style: the root folds segment *k* and immediately broadcasts it down
 the tree while segments *k+1..n* are still climbing up, so the reduce and
-broadcast phases overlap almost entirely for long messages.
+broadcast phases overlap almost entirely for long messages.  The root of
+either collective cannot bypass; the interpreter walks it.
 
 Fault composition (repro.faults): neighbors are recomputed heal-aware at
 every descriptor *push*, so a subtree healed mid-pipeline re-parents the
@@ -33,7 +35,6 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..mpich.collectives import tree
-from ..mpich.collectives.reduce import _finish_root
 from ..mpich.communicator import Communicator
 from ..mpich.message import TAG_REDUCE, AbHeader
 from ..mpich.operations import Op
@@ -87,7 +88,7 @@ class _WindowState:
     def __init__(self, segments: list[Segment], staging: np.ndarray,
                  comm: Communicator, shape, root: int, size: int, rel: int,
                  root_world: int, instance: int, op: Op, window: int,
-                 plan: Optional[CollectivePlan] = None):
+                 plan: CollectivePlan):
         self.segments = segments
         self.staging = staging
         self.comm = comm
@@ -147,11 +148,11 @@ class AbPipeline:
     # pipelined MPI_Reduce
     # ------------------------------------------------------------------
     def reduce(self, sendbuf: np.ndarray, op: Op, root: int,
-               comm: Communicator, recvbuf: Optional[np.ndarray],
-               ledger: Ledger, segments: list[Segment], *,
-               plan: Optional[CollectivePlan] = None) -> Generator:
-        """Pipelined AB reduce; ``ledger`` already carries the call/decision
-        charges from :meth:`AbEngine.reduce`, which delegates here."""
+               comm: Communicator, ledger: Ledger, segments: list[Segment], *,
+               plan: CollectivePlan) -> Generator:
+        """Pipelined AB reduce on a non-root rank; ``ledger`` already carries
+        the call/decision charges from :meth:`AbEngine.reduce`, which
+        delegates here (the schedule interpreter walks the root)."""
         engine = self.engine
         size = comm.size
         me = comm.rank_of_world(engine.rank.rank)
@@ -165,15 +166,8 @@ class AbPipeline:
         self.stats.pipelined_reduces += 1
         flat = np.ascontiguousarray(sendbuf).reshape(-1)
 
-        if rel == 0:
-            engine.stats.root_reduces += 1
-            result = yield from self._root_fold(
-                flat, segments, op, root, comm, ledger, instance,
-                np.asarray(sendbuf).shape, recvbuf)
-            return result
-
         parent_world, children_world = self._neighbors(
-            comm, shape, root, size, rel, instance, plan=plan)
+            comm, shape, root, size, rel, instance, plan)
         if not children_world:
             # Leaf (by position, or every subtree below crashed): stream the
             # segments back-to-back; nothing to wait for.
@@ -235,122 +229,6 @@ class AbPipeline:
         return None
 
     # ------------------------------------------------------------------
-    # pipelined MPI_Allreduce (Träff-style reduce/bcast overlap)
-    # ------------------------------------------------------------------
-    def allreduce(self, sendbuf: np.ndarray, op: Op, comm: Communicator,
-                  segments: list[Segment], *,
-                  plan: Optional[CollectivePlan] = None) -> Generator:
-        """Segmented reduce-to-0 overlapped with segmented AB broadcast."""
-        engine = self.engine
-        root = 0
-        me = comm.rank_of_world(engine.rank.rank)
-        # The broadcast extension must exist before any bcast packet can
-        # arrive; every rank constructs it on its first pipelined allreduce,
-        # which is guaranteed to precede the root's first segment broadcast
-        # (that needs every rank's contribution first).
-        bcaster = self._broadcaster(comm)
-        self.stats.pipelined_allreduces += 1
-        flat = np.ascontiguousarray(sendbuf).reshape(-1)
-        shape = np.asarray(sendbuf).shape
-
-        if me == root:
-            result = yield from self._root_allreduce(
-                flat, segments, op, root, comm, bcaster, shape)
-            return result
-
-        # Up phase: the ordinary entry point re-checks eligibility and runs
-        # the pipelined reduce (leaf stream or windowed descriptors); it
-        # returns with segments still in flight, which is exactly the
-        # overlap the down phase then rides.
-        yield from engine.reduce(flat, op, root, comm, plan=plan)
-        out = np.empty_like(flat)
-        for s in segments:
-            yield from bcaster.bcast(out[s.offset:s.offset + s.count],
-                                     root, comm)
-        return out.reshape(shape)
-
-    def _root_allreduce(self, flat: np.ndarray, segments: list[Segment],
-                        op: Op, root: int, comm: Communicator, bcaster,
-                        shape) -> Generator:
-        """Root: fold segment k, broadcast it, move to k+1 — the reduce of
-        later segments overlaps the broadcast of earlier ones."""
-        engine = self.engine
-        ledger = Ledger()
-        ledger.charge(self.costs.call_overhead_us, "mpi")
-        ledger.charge(self.costs.ab_decision_us, "ab")
-        instance = engine._next_instance(comm)
-        ledger.charge(self.costs.tree_setup_us, "mpi")
-        engine.stats.root_reduces += 1
-        self.stats.pipelined_reduces += 1
-        size = comm.size
-        tshape = engine.rank.tree_shape_for(flat.nbytes)
-        kids = [tree.absolute_rank(c, root, size)
-                for c in tshape.children(0, size)]
-        acc = np.array(flat, copy=True)
-        ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-        yield Busy.from_ledger(ledger)
-        tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
-        for s in segments:
-            yield from self._fold_root_segment(acc, tmp, s, op, kids, comm,
-                                               instance)
-            yield from bcaster.bcast(acc[s.offset:s.offset + s.count],
-                                     root, comm)
-        return acc.reshape(shape)
-
-    # ------------------------------------------------------------------
-    # root fold (plain pipelined reduce)
-    # ------------------------------------------------------------------
-    def _root_fold(self, flat: np.ndarray, segments: list[Segment], op: Op,
-                   root: int, comm: Communicator, ledger: Ledger,
-                   instance: int, shape, recvbuf) -> Generator:
-        """Root of a pipelined reduce: blocking seg-major fold.
-
-        The root cannot bypass (``MPI_Reduce`` must return the result,
-        paper Sec. II) but it still benefits: it folds segment k while its
-        children are combining k+1, instead of waiting for whole messages
-        to be staged at every level below.
-        """
-        engine = self.engine
-        size = comm.size
-        tshape = engine.rank.tree_shape_for(flat.nbytes)
-        kids = [tree.absolute_rank(c, root, size)
-                for c in tshape.children(0, size)]
-        acc = np.array(flat, copy=True)
-        ledger.charge(self.costs.copy_us(acc.nbytes), "copy")
-        yield Busy.from_ledger(ledger)
-        if kids:
-            tmp = np.empty(max(s.count for s in segments), dtype=acc.dtype)
-            for s in segments:
-                yield from self._fold_root_segment(acc, tmp, s, op, kids,
-                                                   comm, instance)
-        return _finish_root(acc.reshape(shape), recvbuf)
-
-    def _fold_root_segment(self, acc: np.ndarray, tmp: np.ndarray,
-                           s: Segment, op: Op, kids: list[int],
-                           comm: Communicator, instance: int) -> Generator:
-        """Blocking-receive one segment from every child and fold it in.
-
-        Per-(child → root) segment streams are emitted in ascending segment
-        order (leaves stream in order; internal forwards happen in
-        completion order, which the per-child FIFO makes ascending), so the
-        plain FIFO receive match picks up exactly segment ``s`` from each
-        child."""
-        engine = self.engine
-        for child in kids:
-            child_world = comm.world_rank(child)
-            yield from engine.rank.recv(tmp[:s.count], child, TAG_REDUCE,
-                                        comm, _context=comm.coll_context)
-            op_ledger = Ledger()
-            op_ledger.charge(self.costs.op_us(s.count), "op")
-            op.apply(acc[s.offset:s.offset + s.count], tmp[:s.count])
-            self.stats.root_segment_folds += 1
-            if engine.monitor is not None:
-                engine.monitor.on_segment_fold(
-                    engine.rank.rank, child_world, comm.coll_context,
-                    instance, s.index, self.sim.now)
-            yield Busy.from_ledger(op_ledger)
-
-    # ------------------------------------------------------------------
     # window machinery (internal nodes)
     # ------------------------------------------------------------------
     def _advance(self, st: _WindowState, ledger: Ledger) -> None:
@@ -372,7 +250,7 @@ class AbPipeline:
         # earlier segments were in flight re-parents the remaining ones.
         parent_world, children_world = self._neighbors(
             st.comm, st.shape, st.root, st.size, st.rel, st.instance,
-            plan=st.plan)
+            st.plan)
         acc = st.staging[s.offset:s.offset + s.count]
         if not children_world:
             # Every subtree below crashed mid-pipeline: degenerate to a
@@ -431,39 +309,28 @@ class AbPipeline:
                 seg, self.sim.now)
 
     def _neighbors(self, comm: Communicator, shape, root: int, size: int,
-                   rel: int, instance: int, *,
-                   plan: Optional[CollectivePlan] = None
-                   ) -> tuple[int, list[int]]:
-        """(parent_world, children_world), healed when faults are armed.
-
-        A schedule-injected ``plan`` short-circuits the derivation, but only
-        on healthy runs — healing must keep re-routing mid-pipeline."""
+                   rel: int, instance: int,
+                   plan: CollectivePlan) -> tuple[int, list[int]]:
+        """(parent_world, children_world): the schedule-injected ``plan``,
+        or the healed tree when faults are armed — healing must keep
+        re-routing mid-pipeline."""
         engine = self.engine
-        if plan is not None and not engine._heal:
+        if not engine._heal:
             return plan.parent_world, list(plan.children_world)
-        kids_rel = shape.children(rel, size)
-        if engine._heal:
-            naive_parent = comm.world_rank(
-                tree.absolute_rank(shape.parent(rel, size), root, size))
-            parent_world = engine._live_ancestor_world(
-                comm, shape, root, size, shape.parent(rel, size))
-            if parent_world != naive_parent:
-                engine.stats.sends_rerouted += 1
-                engine._report_fault("send_rerouted", instance=instance,
-                                     parent=parent_world)
-            children_world, healed = engine._live_fringe(
-                comm, shape, root, size, kids_rel)
-            if healed:
-                engine.stats.subtrees_healed += healed
-                engine._report_fault("subtree_healed", instance=instance,
-                                     healed=healed)
-        else:
-            parent_world = comm.world_rank(
-                tree.absolute_rank(shape.parent(rel, size), root, size))
-            children_world = [
-                comm.world_rank(tree.absolute_rank(c, root, size))
-                for c in kids_rel
-            ]
+        naive_parent = comm.world_rank(
+            tree.absolute_rank(shape.parent(rel, size), root, size))
+        parent_world = engine._live_ancestor_world(
+            comm, shape, root, size, shape.parent(rel, size))
+        if parent_world != naive_parent:
+            engine.stats.sends_rerouted += 1
+            engine._report_fault("send_rerouted", instance=instance,
+                                 parent=parent_world)
+        children_world, healed = engine._live_fringe(
+            comm, shape, root, size, shape.children(rel, size))
+        if healed:
+            engine.stats.subtrees_healed += healed
+            engine._report_fault("subtree_healed", instance=instance,
+                                 healed=healed)
         return parent_world, children_world
 
     def _broadcaster(self, comm: Communicator):

@@ -3,23 +3,24 @@
 Every lowering has the signature ``(shape, size, *, root=0, nseg=0)`` where
 ``shape`` is a :class:`repro.topo.trees.TreeShape`, ``size`` the communicator
 size and ``nseg`` the number of pipeline segments (``0`` = whole message).
-The emitted step orders mirror the legacy engine paths exactly — child order
-follows ``shape.children`` for reduce phases and *reversed* children for
-broadcast forwarding, segments are walked seg-major — which is what lets the
-interpreter in :mod:`repro.core.interpreter` replay them bit-identically.
+Child order follows ``shape.children`` for reduce phases and *reversed*
+children for broadcast forwarding (deepest subtree first); segments are
+walked seg-major.  :mod:`repro.core.interpreter` executes the result, and
+``MpiRank.reduce``/``bcast``/``allreduce`` fetch theirs through
+:func:`lower_cached`, so a run lowers each distinct schedule once.
 
 Registered lowerings:
 
 ``reduce.nab``
     Host-level tree reduce (blocking recv+fold per child), whole or
-    seg-major segmented — the ``reduce_nab`` path.
+    seg-major segmented — MPICH's default ``MPI_Reduce``.
 ``reduce.ab``
     Application-bypass reduce: internal ranks post one NIC descriptor
     (:class:`WaitStep`) per segment, leaves just send; the root folds on the
     host exactly like ``reduce.nab``.
 ``bcast.tree``
-    Tree broadcast with reversed-child forwarding (both the nab
-    ``bcast_binomial`` and the AB broadcaster use this order).
+    Tree broadcast with reversed-child forwarding (both ``MPI_Bcast`` and
+    the AB broadcaster use this order).
 ``allreduce.reduce_bcast``
     Sequential nab reduce-to-root followed by tree bcast.
 ``allreduce.ab``
@@ -43,6 +44,7 @@ Registered lowerings:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List
 
 from ..mpich.collectives import tree
@@ -51,6 +53,10 @@ from .ir import (BcastStep, FoldStep, RecvStep, Schedule, ScheduleError,
                  SendStep, WaitStep)
 
 LOWERINGS: Dict[str, Callable[..., Schedule]] = {}
+
+#: Most schedules :func:`lower_cached` keeps (least recently used go first).
+MEMO_SIZE = 64
+_memo: "OrderedDict[tuple, Schedule]" = OrderedDict()
 
 
 def register_lowering(name: str):
@@ -80,6 +86,27 @@ def lower(name: str, shape: TreeShape, size: int, *, root: int = 0,
             "unknown lowering %r (have: %s)"
             % (name, ", ".join(sorted(LOWERINGS)))) from None
     return fn(shape, size, root=root, nseg=nseg, **kwargs)
+
+
+def lower_cached(name: str, shape: TreeShape, size: int, *, root: int = 0,
+                 nseg: int = 0) -> Schedule:
+    """:func:`lower`, memoized on ``(name, shape.name, size, root, nseg)``.
+
+    The key is by value because ``tree_shape="auto"`` resolves a fresh
+    shape object per call; the shape's name (which carries a k-nomial's
+    radix) determines its tree.  Schedules are frozen, so every rank of
+    every cluster in the process can share one.
+    """
+    key = (name, shape.name, size, root, nseg)
+    schedule = _memo.get(key)
+    if schedule is None:
+        schedule = lower(name, shape, size, root=root, nseg=nseg)
+        _memo[key] = schedule
+        if len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return schedule
 
 
 def _check(shape: TreeShape, size: int, root: int, nseg: int) -> None:
@@ -121,7 +148,7 @@ def _reduce_rank_steps(parent, kids, nseg: int) -> List:
 
 
 @register_lowering("reduce.nab")
-def lower_reduce_nab(shape: TreeShape, size: int, *, root: int = 0,
+def lower_nab_reduce(shape: TreeShape, size: int, *, root: int = 0,
                      nseg: int = 0) -> Schedule:
     _check(shape, size, root, nseg)
     ranks = []
@@ -178,9 +205,9 @@ def lower_bcast_tree(shape: TreeShape, size: int, *, root: int = 0,
 
 
 @register_lowering("allreduce.reduce_bcast")
-def lower_allreduce_reduce_bcast(shape: TreeShape, size: int, *, root: int = 0,
+def lower_allreduce_sequential(shape: TreeShape, size: int, *, root: int = 0,
                                  nseg: int = 0) -> Schedule:
-    red = lower_reduce_nab(shape, size, root=root, nseg=nseg)
+    red = lower_nab_reduce(shape, size, root=root, nseg=nseg)
     bc = lower_bcast_tree(shape, size, root=root, nseg=nseg)
     steps = tuple(r + b for r, b in zip(red.steps, bc.steps))
     return Schedule("allreduce", "allreduce.reduce_bcast", size, root, nseg,

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.mpich.communicator import Communicator
+from repro import MpiBuild, quiet_cluster
+from repro.mpich.communicator import Communicator, world_communicator
 from repro.mpich.operations import MAX, MIN, PROD, SUM
+from repro.runtime.context import MpiContext
+from repro.runtime.program import build_cluster
 from conftest import contribution, expected_sum, run_ranks
 
 
@@ -173,3 +176,29 @@ def test_reduce_empty_message():
 
     out = run_ranks(4, program)
     assert out.results[0] == 0
+
+
+@pytest.mark.parametrize("build", [MpiBuild.DEFAULT, MpiBuild.AB],
+                         ids=["nab", "ab"])
+@pytest.mark.parametrize("collective", ["reduce", "bcast"])
+@pytest.mark.parametrize("root", [4, -1])
+def test_out_of_range_root_rejected_before_any_sim_effect(root, collective,
+                                                          build):
+    """A bad root raises ``ValueError`` naming it on the first step of the
+    call — before the AB fallback charge a rendezvous-sized payload would
+    otherwise pay, and before anything reaches the simulator."""
+    cluster = build_cluster(quiet_cluster(4))
+    mpi = MpiContext(cluster.nodes[1], world_communicator(4), build,
+                     cluster.config.ab).mpi
+    payload = np.ones(4096)  # 32 KiB: past the AB eager limit
+    call = (mpi.reduce(payload, SUM, root) if collective == "reduce"
+            else mpi.bcast(payload, root))
+    counters = cluster.sim.counters()
+    cpu = cluster.nodes[1].cpu.usage_snapshot()
+    with pytest.raises(ValueError,
+                       match=rf"root {root} outside communicator of size 4"):
+        next(call)
+    assert cluster.sim.counters() == counters
+    assert cluster.nodes[1].cpu.usage_snapshot() == cpu
+    if mpi.ab is not None:
+        assert mpi.ab.stats.fallback_size == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import (MACHINE_P3_700, MACHINE_P3_1000,
                           MACHINE_P3_1000_L92, AbParams, ClusterConfig,
-                          NicParams, NoiseParams, NO_NOISE,
+                          MpiParams, NicParams, NoiseParams, NO_NOISE,
                           homogeneous_cluster, interlaced_roster,
                           paper_cluster, quiet_cluster)
 from repro.errors import ConfigError
@@ -90,3 +90,20 @@ def test_noise_validation():
 def test_empty_cluster_rejected():
     with pytest.raises(ConfigError):
         ClusterConfig(machines=())
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"tree_shape": "nope"}, "tree_shape"),
+    ({"tree_radix": 0}, "tree_radix"),
+    ({"tree_radix": 1}, "tree_radix"),
+    ({"tree_shape": "knomial", "tree_radix": 1}, "tree_radix"),
+])
+def test_mpi_params_rejects_bad_tree_at_construction(kwargs, field):
+    with pytest.raises(ConfigError, match=field):
+        MpiParams(**kwargs)
+
+
+@pytest.mark.parametrize("shape", ["auto", "binomial", "knomial", "chain",
+                                   "bine"])
+def test_mpi_params_accepts_every_registered_tree(shape):
+    assert MpiParams(tree_shape=shape, tree_radix=3).tree_shape == shape

@@ -33,19 +33,21 @@ def _copy_src(tmp_path: Path) -> Path:
 
 def test_seeded_dropped_yield_from_fails_gate(tmp_path, capsys):
     src = _copy_src(tmp_path)
-    engine = src / "repro" / "core" / "engine.py"
-    text = engine.read_text(encoding="utf-8")
-    # Drop the `yield from` off a collective call inside the AB engine.
-    assert "result = yield from reduce_nab(self.rank, sendbuf" in text
-    engine.write_text(text.replace(
-        "result = yield from reduce_nab(self.rank, sendbuf",
-        "reduce_nab(self.rank, sendbuf, op, root, comm, recvbuf)\n"
-        "            result = yield from reduce_nab(self.rank, sendbuf",
+    interpreter = src / "repro" / "core" / "interpreter.py"
+    text = interpreter.read_text(encoding="utf-8")
+    # Drop the `yield from` off the AB engine call the interpreter makes
+    # for every non-root rank of an AB reduce.
+    anchor = "yield from engine.reduce(sendbuf, op, schedule.root, comm,"
+    assert anchor in text
+    interpreter.write_text(text.replace(
+        anchor,
+        "engine.reduce(sendbuf, op, schedule.root, comm, plan=plan)\n"
+        "        " + anchor,
         1), encoding="utf-8")
     rc = main(["--baseline", str(BASELINE), str(src)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "SIM001" in out and "reduce_nab" in out
+    assert "SIM001" in out and "`reduce(...)`" in out
 
 
 def test_seeded_wall_clock_fails_gate(tmp_path, capsys):
