@@ -1,8 +1,8 @@
 """Scalability-extrapolation benchmark: the paper's central prediction —
 the factor of improvement keeps growing with system size — checked out to
 256 nodes (8x the paper's testbed).  The smoke-marked sweep below drives
-the same DES-throughput grid as CI's scale-smoke job (``orchestrate
-smoke-scale``) at preset-scaled sizes."""
+the same DES-throughput grid as CI's ``scale`` smoke cell (``orchestrate
+smoke --grid scale``) at preset-scaled sizes."""
 
 import pytest
 
@@ -42,7 +42,7 @@ def test_scale_sweep_reports_events_per_sec(benchmark):
     """The CI scale grid end to end: fat-tree + torus points through the
     process pool, every emitted record carrying an events/sec figure.
     Smoke preset shrinks the sizes; the real 1024-4096 sweep belongs to
-    the dedicated scale-smoke CI job and its timeout."""
+    the ``scale`` cell of the CI smoke matrix and its timeout."""
     sizes = (64, 128) if SMOKE else (1024, 2048, 4096)
     points = scale_smoke_points(seed=SEED, sizes=sizes)
 

@@ -3,7 +3,7 @@
 Runs the tiny fig7-shaped smoke grid twice — serially and through the
 process pool — and asserts the deterministic-merge contract (bit-identical
 metrics), a violation-free invariant report, and a clean self-compare of
-the emitted BENCH_smoke.json.  This is what CI's bench job runs with
+the emitted BENCH_smoke.json.  This is what CI's test job runs with
 ``-m smoke``; the full-figure benchmarks stay out of the PR loop.
 """
 

@@ -21,7 +21,7 @@ Environment:
     Worker processes for orchestrated sweeps (default 1).
 ``REPRO_BENCH_PRESET``
     ``smoke`` shrinks every iteration count to a seconds-long sanity
-    pass.  Meant for the CI bench job's ``-m smoke`` selection — the
+    pass.  Meant for the CI test job's ``-m smoke`` selection — the
     full-figure shape assertions are tuned for representative counts and
     are not expected to hold at smoke scale.
 """

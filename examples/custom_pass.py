@@ -5,9 +5,9 @@ Collective schedules are *data* (DESIGN.md Sec. 15): a ``Schedule`` is a
 frozen, JSON-round-trippable program of per-rank send/recv/fold/wait
 steps, and a rewrite pass is just a function ``Schedule -> Schedule``
 registered by name.  Once registered, every driver in the repo — the
-scheduled benchmark, ``orchestrate smoke-schedule``, the autotuner — can
-apply your pass by name, and the validator checks the result the same
-way it checks the built-in lowerings.
+scheduled benchmark, ``orchestrate smoke --grid schedule_smoke``, the
+autotuner — can apply your pass by name, and the validator checks the
+result the same way it checks the built-in lowerings.
 
 This example registers a 3-line pass that re-lowers a reduction onto a
 chain (pipeline) tree, shows the rewrite on the IR alone, proves the

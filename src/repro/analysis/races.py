@@ -22,9 +22,10 @@ same-timestamp events:
    reported with both events' scheduling-ancestry chains so the race is
    debuggable without re-running.
 
-The perturbation verdict gates CI (``race-smoke``); the happens-before
-report is diagnostic — it explains a divergence, and surfaces races the
-tried permutations did not happen to expose.
+The perturbation verdict gates CI (the ``race`` job runs this module over
+every race-flagged smoke grid of ``repro.orchestrate.points.GRIDS``); the
+happens-before report is diagnostic — it explains a divergence, and
+surfaces races the tried permutations did not happen to expose.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable, Optional
 
 from ..sim.access import (READ, WRITE, Location, get_access_tracer,
@@ -375,37 +377,24 @@ def check_points(points: list, *, runs: int = 8, seed: int = 1,
 # scenario registry + CLI
 # ---------------------------------------------------------------------------
 
-def _scenario_factories() -> dict[str, Callable[..., list]]:
-    from ..orchestrate.points import (faults_smoke_points,
-                                      pap_smoke_points,
-                                      pipeline_smoke_points,
-                                      schedule_smoke_points, smoke_points,
-                                      tenancy_smoke_points,
-                                      topo_smoke_points)
-    return {
-        "fig7": smoke_points,
-        "topo": topo_smoke_points,
-        "faults": faults_smoke_points,
-        "pipeline": pipeline_smoke_points,
-        "tenancy": tenancy_smoke_points,
-        "schedule": schedule_smoke_points,
-        "pap": pap_smoke_points,
-    }
+def race_grids() -> list[str]:
+    """The smoke grids this harness checks: the ``race``-flagged entries
+    of :data:`repro.orchestrate.points.GRIDS`, in registry order."""
+    from ..orchestrate.points import GRIDS
+    return [name for name, grid in GRIDS.items() if grid.race]
 
 
 def scenario_points(name: str, *, seed: int = 1,
                     iterations: Optional[int] = None) -> list:
-    """The sweep points behind a named scenario (the CI smoke grids)."""
-    factories = _scenario_factories()
-    try:
-        make = factories[name]
-    except KeyError:
+    """The sweep points behind a named scenario (a race-flagged grid)."""
+    from ..orchestrate.points import GRIDS
+    if name not in race_grids():
         raise ValueError(f"unknown scenario {name!r}; "
-                         f"known: {sorted(factories)}") from None
+                         f"known: {race_grids()}")
     kwargs: dict[str, Any] = {"seed": seed}
     if iterations is not None:
         kwargs["iterations"] = iterations
-    return make(**kwargs)
+    return GRIDS[name].factory(**kwargs)
 
 
 def build_report(scenario: str, verdicts: list[PointVerdict], *,
@@ -432,7 +421,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "fail on any bit-level divergence.")
     parser.add_argument("--scenario", action="append", default=None,
                         help="scenario to check (repeatable); default: all "
-                             f"of {sorted(_scenario_factories())}")
+                             f"of {race_grids()}")
     parser.add_argument("--runs", type=int, default=8,
                         help="perturbed schedules per point (default 8)")
     parser.add_argument("--seed", type=int, default=1,
@@ -452,7 +441,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.runs < 1:
         parser.error("--runs must be >= 1")
 
-    scenarios = args.scenario or sorted(_scenario_factories())
+    scenarios = args.scenario or race_grids()
     progress = None if args.quiet else (
         lambda msg: print(msg, file=sys.stderr))
     reports = []
@@ -477,8 +466,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "clean": not any_dirty, "scenarios": reports}
     text = json.dumps(out_doc, indent=2, sort_keys=True, default=str)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out).write_text(text + "\n")
     print(text)
     for report in reports:
         for verdict in report["verdicts"]:

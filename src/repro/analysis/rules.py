@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Optional, Sequence
 
 ERROR = "error"
 WARNING = "warning"
@@ -120,62 +120,6 @@ def rule_table() -> dict[str, str]:
 #: simulation-scoped code (calls through them are caught by SIM002; the
 #: import-level rule catches aliasing tricks and dead imports alike).
 SIM008_MODULES = frozenset({"random", "time"})
-
-#: SIM007: network primitives whose construction belongs to the pluggable
-#: topology layer, and the packages allowed to build them directly.
-SIM007_CLASSES = frozenset({"CrossbarSwitch", "Link"})
-SIM007_ALLOWED_PREFIXES = ("repro/network/", "repro/topo/")
-
-#: SIM013: the shared-fabric primitives a *job* must never build for
-#: itself — under multi-tenancy every job receives host slots on the one
-#: cluster the scheduler owns (see DESIGN.md §14), so constructing a
-#: fabric/topology/cluster in job-level code forks the simulated world.
-#: Allowed: the tenancy/orchestration service layers that own the shared
-#: cluster, the legacy single-job entry point (``repro.runtime``), the
-#: layers that implement the primitives themselves, and tests.
-SIM013_CLASSES = frozenset({
-    "Fabric", "Cluster", "Topology", "CrossbarTopology",
-    "FatTreeTopology", "TorusTopology", "make_topology"})
-#: (Paths are normalized to start at the last ``repro`` component; test
-#: files reduce to their basename — hence the ``test_``/``conftest``
-#: entries.)
-SIM013_ALLOWED_PREFIXES = (
-    "repro/tenancy/", "repro/orchestrate/", "repro/runtime/",
-    "repro/cluster/", "repro/network/", "repro/topo/",
-    "test_", "conftest")
-
-#: SIM009: segmented-pipeline primitives whose construction belongs to
-#: the segment planner / AB engine, and the packages allowed to build
-#: them directly.
-SIM009_CLASSES = frozenset({"Segment", "Segmenter", "ReduceDescriptor"})
-SIM009_ALLOWED_PREFIXES = ("repro/pipeline/", "repro/core/")
-
-#: SIM014: the primitives that spell out a collective's send/recv
-#: ordering by hand — posting NIC descriptors (``start_send``) or
-#: framing AB protocol headers (``AbHeader``).  Since repro.schedule,
-#: collective orderings are data: lower to a Schedule (or call the
-#: engine/MPI APIs) instead of hand-constructing the wire order, so the
-#: validator can prove the ordering deadlock-free and the interpreter
-#: stays the single execution path.  Allowed: the layers that implement
-#: collectives (schedule/core/mpich/pipeline) and tests.
-SIM014_CALLS = frozenset({"start_send"})
-SIM014_CLASSES = frozenset({"AbHeader"})
-SIM014_ALLOWED_PREFIXES = (
-    "repro/schedule/", "repro/core/", "repro/mpich/", "repro/pipeline/",
-    "test_", "conftest")
-
-#: SIM015: ad-hoc pre-collective delay injection.  Freezing a host CPU
-#: (``cpu.freeze``) to fake a late arrival bypasses the workload layer —
-#: the delay never lands in the arrival trace, so the PAP oracle,
-#: imbalance metrics (spread/kappa) and the disarmed-neutrality guarantee
-#: all silently lie.  Arrival patterns belong in ``WorkloadParams`` /
-#: ``repro.workload``.  Allowed: the workload layer itself, the fault
-#: injectors (rank pause/crash are faults, not arrivals), the sim layer
-#: that implements the primitive, and tests.
-SIM015_CALLS = frozenset({"freeze"})
-SIM015_ALLOWED_PREFIXES = (
-    "repro/workload/", "repro/faults/", "repro/sim/",
-    "test_", "conftest")
 
 #: Fully-qualified callables that read the host wall clock or ambient
 #: process state.
@@ -441,33 +385,6 @@ class LoopVariableCapture(Rule):
 
 
 @register
-class DirectNetworkCtor(Rule):
-    spec = RuleSpec(
-        "SIM007",
-        "direct switch/link construction outside topo/network factories")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM007_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name not in SIM007_CLASSES:
-            return
-        # Only flag the repro network primitives: a same-named class from
-        # an unrelated module resolves to a dotted path without any
-        # network/topo component.
-        dotted = ctx.dotted(node.func) or name
-        if dotted != name and not any(
-                part in ("network", "topo", "switch", "link")
-                for part in dotted.split(".")):
-            return
-        ctx.emit("SIM007", node,
-                 f"direct `{name}(...)` construction bypasses the "
-                 f"pluggable topology layer — configure "
-                 f"`NetParams.topology` / use `repro.topo.make_topology`")
-
-
-@register
 class NondetImport(Rule):
     spec = RuleSpec(
         "SIM008",
@@ -492,155 +409,173 @@ class NondetImport(Rule):
                      f"deterministic")
 
 
-@register
-class DirectSegmentCtor(Rule):
-    spec = RuleSpec(
+# ---------------------------------------------------------------------------
+# the layering rules (SIM007, SIM009, SIM013–SIM015): one table, one check
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LayeringRow:
+    """One "only these packages may build/call X" rule, as data."""
+
+    code: str
+    #: ``--list-rules`` text; rows sharing a code use the first row's.
+    summary: str
+    #: Guarded callee names.
+    names: frozenset[str]
+    #: True: only method calls (``obj.name(...)``) count, so a bare local
+    #: helper of the same name is fine.  False: constructions, direct or
+    #: through a module attribute.
+    method_call: bool
+    #: When the callee resolves through an import to a dotted path with
+    #: none of these components, it is an unrelated same-named class and
+    #: not flagged (empty: no dotted-path check).
+    hint_parts: tuple[str, ...]
+    #: Normalized path prefixes allowed to build/call the names (paths
+    #: start at the last ``repro`` component; test files reduce to their
+    #: basename — hence the ``test_``/``conftest`` entries).
+    allowed: tuple[str, ...]
+    #: Finding message; ``{name}`` is the guarded callee.
+    advice: str
+    #: Extra check run on every other call outside the allowed packages.
+    extra: Optional[Callable[[Any, ast.Call, Optional[str]], None]] = None
+
+    def flags(self, ctx: Any, node: ast.Call, name: str) -> bool:
+        """Whether a call to guarded ``name`` is the repro primitive."""
+        if self.method_call:
+            return isinstance(node.func, ast.Attribute)
+        dotted = ctx.dotted(node.func) or name
+        return dotted == name or any(part in self.hint_parts
+                                     for part in dotted.split("."))
+
+
+def _segment_size_literal(ctx: Any, node: ast.Call,
+                          name: Optional[str]) -> None:
+    """SIM009's extra: a literal nonzero ``segment_size_bytes=`` outside
+    ``PipelineParams(...)``, the config front door."""
+    if name is None or name == "PipelineParams":
+        return
+    for kw in node.keywords:
+        if (kw.arg == "segment_size_bytes"
+                and isinstance(kw.value, ast.Constant)
+                and isinstance(kw.value.value, int)
+                and kw.value.value != 0):
+            ctx.emit("SIM009", kw.value,
+                     f"hard-coded `segment_size_bytes={kw.value.value}` "
+                     f"outside a `PipelineParams(...)` call — segment "
+                     f"sizing flows through the config block so every "
+                     f"rank plans identically")
+
+
+_TESTS = ("test_", "conftest")
+_SIM014 = ("hand-constructed collective send/recv ordering outside "
+           "repro.schedule/repro.core (lower to a Schedule instead)")
+_SIM014_ALLOWED = ("repro/schedule/", "repro/core/", "repro/mpich/",
+                   "repro/pipeline/", *_TESTS)
+
+LAYERING: tuple[LayeringRow, ...] = (
+    # Network primitives belong to the pluggable topology layer.
+    LayeringRow(
+        "SIM007",
+        "direct switch/link construction outside topo/network factories",
+        frozenset({"CrossbarSwitch", "Link"}), False,
+        ("network", "topo", "switch", "link"),
+        ("repro/network/", "repro/topo/"),
+        "direct `{name}(...)` construction bypasses the pluggable topology "
+        "layer — configure `NetParams.topology` / use "
+        "`repro.topo.make_topology`"),
+    # Every rank must derive the identical segment plan.
+    LayeringRow(
         "SIM009",
         "segment/descriptor construction or hard-coded segment size "
-        "outside pipeline/core")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM009_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name is None:
-            return
-        if name in SIM009_CLASSES:
-            # Only flag the repro pipeline/engine primitives: a same-named
-            # class from an unrelated module resolves to a dotted path
-            # without any pipeline/core component.
-            dotted = ctx.dotted(node.func) or name
-            if dotted != name and not any(
-                    part in ("pipeline", "segmenter", "descriptor", "core")
-                    for part in dotted.split(".")):
-                return
-            ctx.emit("SIM009", node,
-                     f"direct `{name}(...)` construction outside "
-                     f"repro.pipeline/repro.core — every rank must derive "
-                     f"the identical segment plan from `PipelineParams` "
-                     f"(use `plan_segments` / the engine API)")
-            return
-        # Literal nonzero segment sizes are only the config front door's
-        # business: PipelineParams(segment_size_bytes=...) is the one
-        # sanctioned spelling.
-        if name == "PipelineParams":
-            return
-        for kw in node.keywords:
-            if (kw.arg == "segment_size_bytes"
-                    and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, int)
-                    and kw.value.value != 0):
-                ctx.emit("SIM009", kw.value,
-                         f"hard-coded `segment_size_bytes={kw.value.value}`"
-                         f" outside a `PipelineParams(...)` call — segment "
-                         f"sizing flows through the config block so every "
-                         f"rank plans identically")
-
-
-@register
-class JobLevelFabricCtor(Rule):
-    """Jobs must receive the shared fabric from the scheduler — a
-    ``Fabric``/``Cluster``/``Topology`` built inside job-level code is a
-    private world whose contention, routes, and invariants the tenancy
-    layer can't see."""
-
-    spec = RuleSpec(
+        "outside pipeline/core",
+        frozenset({"Segment", "Segmenter", "ReduceDescriptor"}), False,
+        ("pipeline", "segmenter", "descriptor", "core"),
+        ("repro/pipeline/", "repro/core/"),
+        "direct `{name}(...)` construction outside repro.pipeline/repro.core"
+        " — every rank must derive the identical segment plan from "
+        "`PipelineParams` (use `plan_segments` / the engine API)",
+        extra=_segment_size_literal),
+    # Under multi-tenancy every job receives host slots on the one
+    # cluster the scheduler owns (DESIGN.md §14): a fabric built in
+    # job-level code forks the simulated world.
+    LayeringRow(
         "SIM013",
         "fabric/cluster/topology construction in job-level code "
-        "(jobs receive the shared fabric from the scheduler)")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM013_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name not in SIM013_CLASSES:
-            return
-        # Only flag the repro fabric primitives: a same-named class from
-        # an unrelated module resolves to a dotted path without any
-        # cluster/network/topo component.
-        dotted = ctx.dotted(node.func) or name
-        if dotted != name and not any(
-                part in ("cluster", "network", "topo", "fabric", "runtime")
-                for part in dotted.split(".")):
-            return
-        ctx.emit("SIM013", node,
-                 f"direct `{name}(...)` construction in job-level code — "
-                 f"jobs must receive host slots on the shared fabric from "
-                 f"the tenancy scheduler (declare a `ClusterSpec` and "
-                 f"submit `JobSpec`s, or use `repro.runtime.run_program`)")
-
-
-@register
-class HandRolledCollectiveOrder(Rule):
-    """A send/recv ordering spelled out by hand — NIC descriptor posts or
-    AB header framing outside the collective layers — bypasses the
-    schedule IR's validator (matched sends, deadlock-freedom) and forks
-    the execution path the interpreter keeps bit-identical."""
-
-    spec = RuleSpec(
-        "SIM014",
-        "hand-constructed collective send/recv ordering outside "
-        "repro.schedule/repro.core (lower to a Schedule instead)")
-    node_types = (ast.Call,)
-
-    def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM014_ALLOWED_PREFIXES):
-            return
-        name = callee_name(node.func)
-        if name in SIM014_CALLS and isinstance(node.func, ast.Attribute):
-            ctx.emit("SIM014", node,
-                     f"direct `{name}(...)` descriptor post outside the "
-                     f"collective layers — lower the ordering to a "
-                     f"`repro.schedule` Schedule (validated, "
-                     f"interpreter-executed) or go through the engine/MPI "
-                     f"APIs")
-            return
-        if name in SIM014_CLASSES:
-            # Only flag the repro protocol header: a same-named class from
-            # an unrelated module resolves to a dotted path without any
-            # mpich/message component.
-            dotted = ctx.dotted(node.func) or name
-            if dotted != name and not any(
-                    part in ("mpich", "message")
-                    for part in dotted.split(".")):
-                return
-            ctx.emit("SIM014", node,
-                     f"hand-framed `{name}(...)` outside the collective "
-                     f"layers — AB wire framing belongs to the engine; "
-                     f"express the collective as a `repro.schedule` "
-                     f"Schedule and let the interpreter execute it")
-
-
-@register
-class AdHocArrivalDelay(Rule):
-    """A pre-collective delay injected by hand — freezing a host CPU
-    outside the workload/fault layers — invents an arrival pattern the
-    workload trace never records, so the PAP arrival oracle, the
-    spread/kappa metrics in BENCH json, and the disarmed-neutrality
-    regression all drift from what actually ran."""
-
-    spec = RuleSpec(
+        "(jobs receive the shared fabric from the scheduler)",
+        frozenset({"Fabric", "Cluster", "Topology", "CrossbarTopology",
+                   "FatTreeTopology", "TorusTopology", "make_topology"}),
+        False, ("cluster", "network", "topo", "fabric", "runtime"),
+        ("repro/tenancy/", "repro/orchestrate/", "repro/runtime/",
+         "repro/cluster/", "repro/network/", "repro/topo/", *_TESTS),
+        "direct `{name}(...)` construction in job-level code — jobs must "
+        "receive host slots on the shared fabric from the tenancy "
+        "scheduler (declare a `ClusterSpec` and submit `JobSpec`s, or use "
+        "`repro.runtime.run_program`)"),
+    # Collective orderings are data: a hand-posted descriptor or framed
+    # AB header bypasses the schedule validator and the interpreter.
+    LayeringRow(
+        "SIM014", _SIM014, frozenset({"start_send"}), True, (),
+        _SIM014_ALLOWED,
+        "direct `{name}(...)` descriptor post outside the collective "
+        "layers — lower the ordering to a `repro.schedule` Schedule "
+        "(validated, interpreter-executed) or go through the engine/MPI "
+        "APIs"),
+    LayeringRow(
+        "SIM014", _SIM014, frozenset({"AbHeader"}), False,
+        ("mpich", "message"), _SIM014_ALLOWED,
+        "hand-framed `{name}(...)` outside the collective layers — AB wire"
+        " framing belongs to the engine; express the collective as a "
+        "`repro.schedule` Schedule and let the interpreter execute it"),
+    # A CPU frozen to fake a late arrival never lands in the arrival
+    # trace, so the PAP oracle and spread/kappa metrics lie.  Rank
+    # pause/crash are faults, not arrivals.
+    LayeringRow(
         "SIM015",
         "ad-hoc pre-collective delay injection outside repro.workload "
-        "(arm WorkloadParams / use an arrival pattern instead)")
+        "(arm WorkloadParams / use an arrival pattern instead)",
+        frozenset({"freeze"}), True, (),
+        ("repro/workload/", "repro/faults/", "repro/sim/", *_TESTS),
+        "direct `{name}(...)` delay injection outside the workload layer — "
+        "model late arrivals with an armed `WorkloadParams` arrival "
+        "pattern (repro.workload) so the delay lands in the trace the PAP "
+        "oracle and imbalance metrics read"),
+)
+
+
+class LayeringRule(Rule):
+    """The one layering check, instantiated once per code in
+    :data:`LAYERING`: flag a guarded callee outside its row's allowed
+    packages."""
+
+    rows: ClassVar[tuple[LayeringRow, ...]]
     node_types = (ast.Call,)
 
     def check(self, ctx: Any, node: ast.Call) -> None:
-        if ctx.path.startswith(SIM015_ALLOWED_PREFIXES):
-            return
-        if not isinstance(node.func, ast.Attribute):
-            return
         name = callee_name(node.func)
-        if name not in SIM015_CALLS:
-            return
-        ctx.emit("SIM015", node,
-                 f"direct `{name}(...)` delay injection outside the "
-                 f"workload layer — model late arrivals with an armed "
-                 f"`WorkloadParams` arrival pattern (repro.workload) so "
-                 f"the delay lands in the trace the PAP oracle and "
-                 f"imbalance metrics read")
+        for row in self.rows:
+            if ctx.path.startswith(row.allowed):
+                continue
+            if name is not None and name in row.names:
+                if row.flags(ctx, node, name):
+                    ctx.emit(row.code, node, row.advice.format(name=name))
+                return
+            if row.extra is not None:
+                row.extra(ctx, node, name)
+
+
+def _layering_rule(code: str) -> type[Rule]:
+    table = tuple(row for row in LAYERING if row.code == code)
+
+    class Layering(LayeringRule):
+        spec = RuleSpec(code, table[0].summary)
+        rows = table
+
+    Layering.__name__ = Layering.__qualname__ = f"Layering{code}"
+    return Layering
+
+
+for _code in dict.fromkeys(row.code for row in LAYERING):
+    register(_layering_rule(_code))
 
 
 # ---------------------------------------------------------------------------

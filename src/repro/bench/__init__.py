@@ -7,8 +7,6 @@ from .nicred import nicred_cpu_util, nicred_latency
 from .report import Series, Table, summary_line
 from .skew import SkewModel, conservative_latency_estimate
 from .stats import SampleSummary, factor_with_ci, summarize
-from .sweep import (cpu_util_vs_nodes, cpu_util_vs_skew, latency_vs_nodes,
-                    latency_vs_message_size)
 
 __all__ = [
     "cpu_util_benchmark", "CpuUtilResult", "APP_CATEGORIES",
@@ -18,6 +16,4 @@ __all__ = [
     "SkewModel", "conservative_latency_estimate",
     "SampleSummary", "summarize", "factor_with_ci",
     "Table", "Series", "summary_line",
-    "cpu_util_vs_skew", "cpu_util_vs_nodes", "latency_vs_nodes",
-    "latency_vs_message_size",
 ]

@@ -13,13 +13,15 @@ Entry points:
 * ``python -m repro.experiments <fig> --jobs N`` — parallel figure sweeps;
 * ``python -m repro.orchestrate run-point '<json>'`` — replay one point
   serially (printed by worker-failure errors);
-* ``python -m repro.orchestrate smoke`` — the tiny CI sweep that emits
-  BENCH_smoke.json plus an InvariantMonitor report.
+* ``python -m repro.orchestrate smoke --grid NAME|all`` — the CI smoke
+  grids of :data:`GRIDS`, each emitting ``BENCH_<name>.json`` plus an
+  InvariantMonitor report.
 """
 
 from .benchjson import (bench_payload, git_sha, load_bench_json,
                         write_bench_json)
-from .points import (ConfigSpec, PointResult, SweepPoint, execute_point)
+from .points import (GRIDS, ConfigSpec, PointResult, SweepPoint,
+                     execute_point)
 from .runner import PointFailed, run_points
 
 
@@ -32,7 +34,7 @@ def __getattr__(name):
     raise AttributeError(name)
 
 __all__ = [
-    "ConfigSpec", "SweepPoint", "PointResult", "execute_point",
+    "GRIDS", "ConfigSpec", "SweepPoint", "PointResult", "execute_point",
     "run_points", "PointFailed",
     "bench_payload", "write_bench_json", "load_bench_json", "git_sha",
     "compare_payloads",

@@ -7,67 +7,18 @@ Commands:
     metrics.  The JSON is a :meth:`SweepPoint.to_dict` payload — exactly
     what worker-failure errors embed in their repro command.
 
-``smoke [--jobs N] [--out DIR] [--seed S]``
-    Run the tiny orchestrated fig7-shaped sweep used by CI: a few
-    (size, build) points under the protocol-invariant monitor, merged
-    deterministically, written to ``BENCH_smoke.json`` plus
-    ``invariant-report.json`` in ``--out``.
+``smoke --grid NAME|all [--jobs N] [--seed S] [--iterations N] [--out DIR]``
+    Run a CI smoke grid from :data:`~repro.orchestrate.points.GRIDS` (or
+    every grid, in registry order), merged deterministically, and write
+    ``BENCH_<name>.json`` plus ``<name>-invariant-report.json`` into
+    ``--out``.  Exit 1 if any point breaks a protocol invariant.
+    ``--iterations`` overrides the grid's per-point default; the
+    committed baselines always use the defaults.
 
-``smoke-topo [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the topology/tree-shape registries: every
-    topology crossed with two tree shapes and both builds, written to
-    ``BENCH_topo_smoke.json`` plus ``topo-invariant-report.json``.
-
-``smoke-faults [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the fault-injection registry: one scenario per
-    injector (burst loss, link degrade, signal suppression, rank pause,
-    rank crash with tree healing) plus a fault-free baseline, written to
-    ``BENCH_faults_smoke.json`` plus ``faults-invariant-report.json``.
-
-``smoke-pipeline [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the segmented pipeline (repro.pipeline): a
-    large-message latency grid (whole-message vs fixed vs greedy
-    schedules, both builds) plus the crash+heal-mid-pipeline scenario,
-    all under the invariant monitor (INV-SEGMENT included), written to
-    ``BENCH_pipeline_smoke.json`` plus ``pipeline-invariant-report.json``.
-
-``smoke-schedule [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the schedule IR (repro.schedule): each build's
-    reduce lowering on two tree shapes, pass-off (whole message) vs
-    pass-on (``pipeline_segments`` rewrite), executed through the
-    schedule interpreter under the invariant monitor, written to
-    ``BENCH_schedule_smoke.json`` plus ``schedule-invariant-report.json``.
-
-``smoke-tenancy [--jobs N] [--out DIR] [--seed S] [--cache DIR | --no-cache]``
-    Same contract over the multi-tenant service (repro.tenancy): 1 and 2
-    co-tenant jobs on a fat-tree and a torus, both builds, with per-job
-    makespan/slowdown/fairness metrics, written to
-    ``BENCH_tenancy_smoke.json`` plus ``tenancy-invariant-report.json``.
-    Points are served through the content-addressed result cache
-    (default ``<out>/result-cache``; hit/miss counters land in
-    ``tenancy-smoke-cache-stats.json``); ``--no-cache`` always
-    re-simulates.
-
-``smoke-pap [--jobs N] [--out DIR] [--seed S]``
-    Same contract over the PAP workload layer (repro.workload): two
-    arrival patterns (uniform_random, bursty) x four allreduce
-    algorithms (nab, ab, sra, pra) with arrival-spread/kappa metrics in
-    every row, written to ``BENCH_pap_smoke.json`` plus
-    ``pap-invariant-report.json``.
-
-``smoke-scale [--jobs N] [--out DIR] [--seed S] [--sizes N ...]``
-    The large-scale DES throughput sweep: 1024/2048/4096-rank
-    extrapolated clusters on fat-tree and torus, AB build, tiny iteration
-    counts, invariant monitor off.  Writes ``BENCH_scale.json`` with an
-    ``events_per_sec`` figure per point; the CI job's hard
-    ``timeout-minutes`` is the wall-clock gate.
-
-``refresh-baseline [--path P] [--schedule-path P] [--jobs N] [--seed S]``
-    The one-command baseline refresh for the CI perf gate: re-run the
-    exact ``smoke`` and ``smoke-schedule`` grids and overwrite the
-    committed baselines (``benchmarks/baselines/BENCH_smoke.baseline.json``
-    and ``benchmarks/baselines/BENCH_schedule_smoke.baseline.json`` by
-    default).  Run it whenever a deliberate change moves smoke metrics,
+``refresh-baseline --grid NAME|all [--jobs N]``
+    Re-run a grid at its defaults and overwrite its committed perf-gate
+    baseline, ``benchmarks/baselines/BENCH_<name>.baseline.json``.  Run
+    it whenever a deliberate change moves a grid's metrics or counters,
     commit the result, and say why in the commit message.
 
 ``summarize BENCH.json ...``
@@ -75,14 +26,9 @@ Commands:
     table (sweep, points, sim events, wall, events/sec) — what the CI
     jobs append to ``$GITHUB_STEP_SUMMARY``.
 
-``race-smoke [--scenario S ...] [--runs N] [--jobs N] [--out DIR]``
-    The determinism gate: run the named smoke scenarios (default: fig7 +
-    pipeline) under the schedule-perturbation harness
-    (:mod:`repro.analysis.races`) — FIFO baseline plus N tiebreak-shuffled
-    schedules per point — and fail on any bit-level divergence of metrics,
-    counters, or invariant reports.  Writes ``race-report.json``.
-
-(The compare gate lives at ``python -m repro.orchestrate.compare``.)
+(The compare gate lives at ``python -m repro.orchestrate.compare``, the
+schedule-perturbation determinism gate at ``python -m
+repro.analysis.races``.)
 """
 
 from __future__ import annotations
@@ -93,25 +39,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .benchjson import events_per_sec, load_bench_json, write_bench_json
-from .points import (SweepPoint, execute_point, faults_smoke_points,
-                     pap_smoke_points, pipeline_smoke_points,
-                     scale_smoke_points, schedule_smoke_points, smoke_points,
-                     topo_smoke_points)
+from .benchjson import load_bench_json, write_bench_json
+from .points import GRIDS, SweepPoint, baseline_path, execute_point
 from .runner import run_points
-
-#: Where the CI perf gate's committed baseline lives (relative to the
-#: repo root); ``refresh-baseline`` writes here by default and CI
-#: compares every fresh BENCH_smoke.json against it.
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_smoke.baseline.json"
-
-#: Same contract for the schedule-IR grid (``smoke-schedule``).
-DEFAULT_SCHEDULE_BASELINE = \
-    "benchmarks/baselines/BENCH_schedule_smoke.baseline.json"
-
-#: Same contract for the PAP workload grid (``smoke-pap``).
-DEFAULT_PAP_BASELINE = \
-    "benchmarks/baselines/BENCH_pap_smoke.baseline.json"
 
 
 def _cmd_run_point(args: argparse.Namespace) -> int:
@@ -132,126 +62,53 @@ def _cmd_run_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_smoke_grid(args: argparse.Namespace, name: str, points,
-                    report_name: str, cache=None) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_points(points, jobs=args.jobs, cache=cache,
-                         progress=lambda line: print(f"  {line}",
-                                                     flush=True))
-    bench_path = write_bench_json(name, results, directory=out_dir,
-                                  jobs=args.jobs)
-    if cache is not None:
-        stats = cache.stats()
-        stats_path = out_dir / f"{name.replace('_', '-')}-cache-stats.json"
-        stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True)
-                              + "\n")
-        print(f"cache: {stats['hits']} hit(s), {stats['misses']} miss(es) "
-              f"({stats['entries']} stored) -> {stats_path}")
-    report = {
-        "schema": 1,
-        "points": [
-            {"key": r.point.key(), "report": r.invariant_report}
-            for r in results
-        ],
-        "violation_count": sum(
-            (r.invariant_report or {}).get("violation_count", 0)
-            for r in results),
-    }
-    report_path = out_dir / report_name
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                           + "\n")
-    print(f"wrote {bench_path} and {report_path}")
-    if report["violation_count"]:
-        print(f"protocol invariant violations: "
-              f"{report['violation_count']}", file=sys.stderr)
-        return 1
-    return 0
+def _grid_names(grid: str) -> list[str]:
+    return list(GRIDS) if grid == "all" else [grid]
+
+
+def _run_grid(name: str, jobs: int, **kwargs) -> list:
+    print(f"{name}:", flush=True)
+    return run_points(GRIDS[name].factory(**kwargs), jobs=jobs,
+                      progress=lambda line: print(f"  {line}", flush=True))
 
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
-    points = smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "smoke", points, "invariant-report.json")
-
-
-def _cmd_smoke_topo(args: argparse.Namespace) -> int:
-    points = topo_smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "topo_smoke", points,
-                           "topo-invariant-report.json")
-
-
-def _cmd_smoke_faults(args: argparse.Namespace) -> int:
-    points = faults_smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "faults_smoke", points,
-                           "faults-invariant-report.json")
-
-
-def _cmd_smoke_pipeline(args: argparse.Namespace) -> int:
-    points = pipeline_smoke_points(seed=args.seed,
-                                   iterations=args.iterations)
-    return _run_smoke_grid(args, "pipeline_smoke", points,
-                           "pipeline-invariant-report.json")
-
-
-def _cmd_smoke_schedule(args: argparse.Namespace) -> int:
-    points = schedule_smoke_points(seed=args.seed,
-                                   iterations=args.iterations)
-    return _run_smoke_grid(args, "schedule_smoke", points,
-                           "schedule-invariant-report.json")
-
-
-def _cmd_smoke_tenancy(args: argparse.Namespace) -> int:
-    from .points import tenancy_smoke_points
-    cache = None
-    if not args.no_cache:
-        from ..tenancy import ResultCache
-        cache_dir = args.cache or str(Path(args.out) / "result-cache")
-        cache = ResultCache(cache_dir)
-    points = tenancy_smoke_points(seed=args.seed,
-                                  iterations=args.iterations)
-    return _run_smoke_grid(args, "tenancy_smoke", points,
-                           "tenancy-invariant-report.json", cache=cache)
-
-
-def _cmd_smoke_pap(args: argparse.Namespace) -> int:
-    points = pap_smoke_points(seed=args.seed, iterations=args.iterations)
-    return _run_smoke_grid(args, "pap_smoke", points,
-                           "pap-invariant-report.json")
-
-
-def _cmd_smoke_scale(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = scale_smoke_points(seed=args.seed, iterations=args.iterations,
-                                sizes=tuple(args.sizes))
-    results = run_points(points, jobs=args.jobs,
-                         progress=lambda line: print(f"  {line}",
-                                                     flush=True))
-    bench_path = write_bench_json("scale", results, directory=out_dir,
-                                  jobs=args.jobs)
-    for r in results:
-        eps = events_per_sec(r.counters, r.wall_time_s)
-        rate = f", {eps:,.0f} events/s" if eps else ""
-        print(f"  {r.point.label()}: "
-              f"{r.counters.get('events', 0):,} events in "
-              f"{r.wall_time_s:.2f}s{rate}")
-    print(f"wrote {bench_path}")
-    return 0
+    kwargs = {"seed": args.seed}
+    if args.iterations is not None:
+        kwargs["iterations"] = args.iterations
+    rc = 0
+    for name in _grid_names(args.grid):
+        results = _run_grid(name, args.jobs, **kwargs)
+        bench_path = write_bench_json(name, results, directory=out_dir,
+                                      jobs=args.jobs)
+        report = {
+            "schema": 1,
+            "points": [
+                {"key": r.point.key(), "report": r.invariant_report}
+                for r in results
+            ],
+            "violation_count": sum(
+                (r.invariant_report or {}).get("violation_count", 0)
+                for r in results),
+        }
+        report_path = out_dir / f"{name}-invariant-report.json"
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True)
+                               + "\n")
+        print(f"wrote {bench_path} and {report_path}")
+        if report["violation_count"]:
+            print(f"{name}: protocol invariant violations: "
+                  f"{report['violation_count']}", file=sys.stderr)
+            rc = 1
+    return rc
 
 
 def _cmd_refresh_baseline(args: argparse.Namespace) -> int:
-    grids = [
-        ("smoke", smoke_points(seed=args.seed,
-                               iterations=args.iterations), args.path),
-        ("schedule_smoke",
-         schedule_smoke_points(seed=args.seed), args.schedule_path),
-        ("pap_smoke", pap_smoke_points(seed=args.seed), args.pap_path),
-    ]
-    for name, points, path in grids:
-        results = run_points(points, jobs=args.jobs,
-                             progress=lambda line: print(f"  {line}",
-                                                         flush=True))
-        written = write_bench_json(name, results, path=path, jobs=args.jobs)
+    for name in _grid_names(args.grid):
+        results = _run_grid(name, args.jobs)
+        written = write_bench_json(name, results, path=baseline_path(name),
+                                   jobs=args.jobs)
         print(f"wrote {written} — commit it to refresh the CI perf-gate "
               f"baseline")
     return 0
@@ -286,20 +143,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_race_smoke(args: argparse.Namespace) -> int:
-    from ..analysis import races
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    race_argv = ["--runs", str(args.runs), "--seed", str(args.seed),
-                 "--jobs", str(args.jobs),
-                 "--out", str(out_dir / "race-report.json")]
-    for scenario in args.scenario:
-        race_argv += ["--scenario", scenario]
-    if args.iterations is not None:
-        race_argv += ["--iterations", str(args.iterations)]
-    return races.main(race_argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.orchestrate",
@@ -311,113 +154,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("spec", help="SweepPoint JSON (from a failure's "
                                     "repro command)")
 
-    p_smoke = sub.add_parser("smoke", help="tiny CI sweep with invariant "
-                                           "collection")
+    grid_choices = [*GRIDS, "all"]
+    p_smoke = sub.add_parser("smoke", help="run CI smoke grid(s) with "
+                                           "invariant collection")
+    p_smoke.add_argument("--grid", required=True, choices=grid_choices)
     p_smoke.add_argument("--jobs", type=int, default=2)
     p_smoke.add_argument("--seed", type=int, default=1)
-    p_smoke.add_argument("--iterations", type=int, default=10)
+    p_smoke.add_argument("--iterations", type=int, default=None,
+                         help="per-point iterations (default: the grid's)")
     p_smoke.add_argument("--out", default="ci-artifacts")
 
-    p_topo = sub.add_parser("smoke-topo",
-                            help="topology x tree-shape CI sweep with "
-                                 "invariant collection")
-    p_topo.add_argument("--jobs", type=int, default=2)
-    p_topo.add_argument("--seed", type=int, default=1)
-    p_topo.add_argument("--iterations", type=int, default=8)
-    p_topo.add_argument("--out", default="ci-artifacts")
-
-    p_faults = sub.add_parser("smoke-faults",
-                              help="fault-injection CI sweep with "
-                                   "invariant collection")
-    p_faults.add_argument("--jobs", type=int, default=2)
-    p_faults.add_argument("--seed", type=int, default=1)
-    p_faults.add_argument("--iterations", type=int, default=6)
-    p_faults.add_argument("--out", default="ci-artifacts")
-
-    p_pipe = sub.add_parser("smoke-pipeline",
-                            help="segmented-pipeline CI sweep with "
-                                 "invariant collection")
-    p_pipe.add_argument("--jobs", type=int, default=2)
-    p_pipe.add_argument("--seed", type=int, default=1)
-    p_pipe.add_argument("--iterations", type=int, default=6)
-    p_pipe.add_argument("--out", default="ci-artifacts")
-
-    p_sched = sub.add_parser("smoke-schedule",
-                             help="schedule-IR CI sweep (lowerings x "
-                                  "tree shapes, pass-on vs pass-off) "
-                                  "with invariant collection")
-    p_sched.add_argument("--jobs", type=int, default=2)
-    p_sched.add_argument("--seed", type=int, default=1)
-    p_sched.add_argument("--iterations", type=int, default=6)
-    p_sched.add_argument("--out", default="ci-artifacts")
-
-    p_ten = sub.add_parser("smoke-tenancy",
-                           help="multi-tenant service CI sweep (1-2 "
-                                "co-tenant jobs, fat-tree + torus, both "
-                                "builds) with per-job metrics, invariant "
-                                "collection and the content-addressed "
-                                "result cache")
-    p_ten.add_argument("--jobs", type=int, default=2)
-    p_ten.add_argument("--seed", type=int, default=1)
-    p_ten.add_argument("--iterations", type=int, default=5)
-    p_ten.add_argument("--out", default="ci-artifacts")
-    p_ten.add_argument("--cache", default=None,
-                       help="result-cache directory (default: "
-                            "<out>/result-cache)")
-    p_ten.add_argument("--no-cache", action="store_true",
-                       help="always re-simulate; never read or write "
-                            "the result cache")
-
-    p_pap = sub.add_parser("smoke-pap",
-                           help="PAP workload CI sweep (arrival patterns "
-                                "x allreduce algorithms incl. sra/pra) "
-                                "with invariant collection")
-    p_pap.add_argument("--jobs", type=int, default=2)
-    p_pap.add_argument("--seed", type=int, default=1)
-    p_pap.add_argument("--iterations", type=int, default=6)
-    p_pap.add_argument("--out", default="ci-artifacts")
-
-    p_scale = sub.add_parser("smoke-scale",
-                             help="1024-4096 rank DES throughput sweep "
-                                  "(fat-tree + torus, AB build)")
-    p_scale.add_argument("--jobs", type=int, default=2)
-    p_scale.add_argument("--seed", type=int, default=1)
-    p_scale.add_argument("--iterations", type=int, default=2)
-    p_scale.add_argument("--sizes", type=int, nargs="+",
-                         default=[1024, 2048, 4096])
-    p_scale.add_argument("--out", default="ci-artifacts")
-
     p_base = sub.add_parser("refresh-baseline",
-                            help="re-run the smoke grid and overwrite the "
-                                 "committed perf-gate baseline")
+                            help="re-run smoke grid(s) at their defaults "
+                                 "and overwrite the committed perf-gate "
+                                 "baseline(s)")
+    p_base.add_argument("--grid", required=True, choices=grid_choices)
     p_base.add_argument("--jobs", type=int, default=2)
-    p_base.add_argument("--seed", type=int, default=1)
-    p_base.add_argument("--iterations", type=int, default=10)
-    p_base.add_argument("--path", default=DEFAULT_BASELINE)
-    p_base.add_argument("--schedule-path",
-                        default=DEFAULT_SCHEDULE_BASELINE)
-    p_base.add_argument("--pap-path", default=DEFAULT_PAP_BASELINE)
 
     p_sum = sub.add_parser("summarize",
                            help="render BENCH_*.json files as a markdown "
                                 "table (for $GITHUB_STEP_SUMMARY)")
     p_sum.add_argument("bench", nargs="+",
                        help="BENCH_*.json file(s) to summarize")
-
-    p_race = sub.add_parser("race-smoke",
-                            help="schedule-perturbation determinism gate "
-                                 "over the CI smoke scenarios")
-    p_race.add_argument("--scenario", action="append",
-                        default=None,
-                        help="scenario name (repeatable; default: "
-                             "fig7 + pipeline)")
-    p_race.add_argument("--runs", type=int, default=8,
-                        help="perturbed schedules per point")
-    p_race.add_argument("--jobs", type=int, default=2)
-    p_race.add_argument("--seed", type=int, default=1)
-    p_race.add_argument("--iterations", type=int, default=None,
-                        help="override per-point benchmark iterations")
-    p_race.add_argument("--out", default="ci-artifacts")
 
     try:
         args = parser.parse_args(argv)
@@ -427,28 +185,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_run_point(args)
     if args.command == "smoke":
         return _cmd_smoke(args)
-    if args.command == "smoke-topo":
-        return _cmd_smoke_topo(args)
-    if args.command == "smoke-faults":
-        return _cmd_smoke_faults(args)
-    if args.command == "smoke-pipeline":
-        return _cmd_smoke_pipeline(args)
-    if args.command == "smoke-schedule":
-        return _cmd_smoke_schedule(args)
-    if args.command == "smoke-tenancy":
-        return _cmd_smoke_tenancy(args)
-    if args.command == "smoke-pap":
-        return _cmd_smoke_pap(args)
-    if args.command == "smoke-scale":
-        return _cmd_smoke_scale(args)
     if args.command == "refresh-baseline":
         return _cmd_refresh_baseline(args)
     if args.command == "summarize":
         return _cmd_summarize(args)
-    if args.command == "race-smoke":
-        if args.scenario is None:
-            args.scenario = ["fig7", "pipeline"]
-        return _cmd_race_smoke(args)
     parser.print_help()
     return 2
 

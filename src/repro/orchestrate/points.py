@@ -20,7 +20,8 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional
+from pathlib import Path
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..config import (AbParams, ClusterConfig, FaultParams, MpiParams,
                       NetParams, NicParams, NoiseParams, PipelineParams,
@@ -642,14 +643,14 @@ def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
                        sizes: tuple = (1024, 2048, 4096),
                        collect_invariants: bool = False
                        ) -> list["SweepPoint"]:
-    """The large-scale DES throughput sweep (``orchestrate smoke-scale``):
+    """The large-scale DES throughput sweep (``smoke --grid scale``):
     1024/2048/4096-rank extrapolated clusters on the two multi-hop
     topologies, AB build only.  This grid exists to exercise the scaled
     event core (calendar queue, route cache, indexed unexpected queue) at
     sizes the fig-grade sweeps never reach, and to put an ``events_per_sec``
     number in CI for every (size, topology) cell.  Iterations are tiny and
     the invariant monitor is off by default — the hard ``timeout-minutes``
-    on the CI job is the wall-clock gate, so the whole sweep must stay
+    on its CI cell is the wall-clock gate, so the whole sweep must stay
     minutes, not hours."""
     nets = (NetParams(topology="fattree", fattree_hosts_per_switch=32),
             NetParams(topology="torus"))
@@ -662,6 +663,36 @@ def scale_smoke_points(*, seed: int = 1, iterations: int = 2,
         for size in sizes
         for net in nets
     ]
+
+
+class Grid(NamedTuple):
+    """One CI smoke grid: a point factory whose defaults are the gated
+    grid (every factory takes ``seed=`` and ``iterations=``), and whether
+    the race harness (:mod:`repro.analysis.races`) re-runs it under
+    perturbed schedules."""
+
+    factory: Callable[..., list["SweepPoint"]]
+    race: bool = True
+
+
+#: Every CI smoke grid by BENCH name.  ``orchestrate smoke --grid``,
+#: ``refresh-baseline``, the race harness and the CI matrix all read this
+#: table; ``scale`` is the one grid too big for the perturbation harness.
+GRIDS: dict[str, Grid] = {
+    "smoke": Grid(smoke_points),
+    "topo_smoke": Grid(topo_smoke_points),
+    "faults_smoke": Grid(faults_smoke_points),
+    "pipeline_smoke": Grid(pipeline_smoke_points),
+    "schedule_smoke": Grid(schedule_smoke_points),
+    "tenancy_smoke": Grid(tenancy_smoke_points),
+    "pap_smoke": Grid(pap_smoke_points),
+    "scale": Grid(scale_smoke_points, race=False),
+}
+
+
+def baseline_path(name: str) -> Path:
+    """Repo-relative path of grid ``name``'s committed perf-gate baseline."""
+    return Path("benchmarks/baselines") / f"BENCH_{name}.baseline.json"
 
 
 KINDS: dict[str, Callable] = {

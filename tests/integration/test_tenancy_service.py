@@ -86,17 +86,18 @@ def test_serial_and_pooled_tenancy_points_bit_identical():
 # ----------------------------------------------------------------------
 # result cache: warm run serves byte-identical BENCH points
 # ----------------------------------------------------------------------
-def test_warm_cache_serves_byte_identical_bench_points(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_cache_serves_byte_identical_bench_points(tmp_path, jobs):
     points = tenancy_smoke_points(iterations=2, collect_invariants=False)
     cache_dir = str(tmp_path / "rc")
 
     cold_cache = ResultCache(cache_dir)
-    cold = run_points(points, jobs=1, cache=cold_cache)
+    cold = run_points(points, jobs=jobs, cache=cold_cache)
     assert cold_cache.stats() == {"hits": 0, "misses": len(points),
                                   "entries": len(points)}
 
     warm_cache = ResultCache(cache_dir)
-    warm = run_points(points, jobs=1, cache=warm_cache)
+    warm = run_points(points, jobs=jobs, cache=warm_cache)
     assert warm_cache.stats()["hits"] == len(points)
     assert warm_cache.stats()["misses"] == 0
 

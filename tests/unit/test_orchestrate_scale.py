@@ -1,15 +1,30 @@
 """Unit tests for the scale sweep path: ``scale_smoke_points``, the
-``smoke-scale`` / ``refresh-baseline`` / ``summarize`` CLI commands, and
-the events/sec plumbing they share.  The CLI runs use toy sizes — the
-real 1024-4096 grid is the CI scale-smoke job's business."""
+``smoke --grid`` / ``refresh-baseline`` / ``summarize`` CLI commands, and
+the events/sec plumbing they share.  The CLI runs shrink the registered
+scale grid to toy sizes — the real 1024-4096 grid is the CI smoke
+matrix's ``scale`` cell."""
 
 from __future__ import annotations
 
+import functools
 import json
 
-from repro.orchestrate.__main__ import DEFAULT_BASELINE, main
+import pytest
+
+from repro.orchestrate.__main__ import main
 from repro.orchestrate.benchjson import load_bench_json
-from repro.orchestrate.points import scale_smoke_points
+from repro.orchestrate.points import (GRIDS, Grid, baseline_path,
+                                      scale_smoke_points)
+
+
+@pytest.fixture
+def toy_scale(monkeypatch):
+    """Point the registry's ``scale`` entry at a toy-sized grid."""
+    def use(*sizes):
+        monkeypatch.setitem(GRIDS, "scale", Grid(
+            functools.partial(scale_smoke_points, sizes=sizes),
+            race=False))
+    return use
 
 
 def test_scale_grid_covers_sizes_and_topologies():
@@ -35,8 +50,9 @@ def test_scale_keys_are_distinct():
     assert len(set(keys)) == len(keys)
 
 
-def test_smoke_scale_cli_writes_bench_json(tmp_path, capsys):
-    rc = main(["smoke-scale", "--jobs", "1", "--sizes", "4", "8",
+def test_smoke_scale_cli_writes_bench_json(tmp_path, toy_scale):
+    toy_scale(4, 8)
+    rc = main(["smoke", "--grid", "scale", "--jobs", "1",
                "--out", str(tmp_path)])
     assert rc == 0
     payload = load_bench_json(tmp_path / "BENCH_scale.json")
@@ -45,42 +61,41 @@ def test_smoke_scale_cli_writes_bench_json(tmp_path, capsys):
     assert payload["events_per_sec"] > 0
     for record in payload["points"]:
         assert record["events_per_sec"] > 0
-    assert "events/s" in capsys.readouterr().out
+    report = json.loads(
+        (tmp_path / "scale-invariant-report.json").read_text())
+    assert report["violation_count"] == 0
 
 
-def test_refresh_baseline_cli(tmp_path, capsys):
-    # Redirect every grid's output: the committed in-tree baselines must
-    # never be touched by a test run.
-    target = tmp_path / "BENCH_smoke.baseline.json"
-    rc = main(["refresh-baseline", "--jobs", "1", "--iterations", "2",
-               "--path", str(target),
-               "--schedule-path",
-               str(tmp_path / "BENCH_schedule_smoke.baseline.json"),
-               "--pap-path",
-               str(tmp_path / "BENCH_pap_smoke.baseline.json")])
+def test_refresh_baseline_cli(tmp_path, monkeypatch, toy_scale, capsys):
+    # Baseline paths are repo-relative: run from a scratch directory so
+    # the committed in-tree baselines are never touched by a test run.
+    toy_scale(4)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["refresh-baseline", "--grid", "scale", "--jobs", "1"])
     assert rc == 0
-    payload = load_bench_json(target)
-    assert payload["name"] == "smoke"
-    assert payload["points"]
-    for name in ("BENCH_schedule_smoke", "BENCH_pap_smoke"):
-        grid = load_bench_json(tmp_path / f"{name}.baseline.json")
-        assert grid["points"]
+    payload = load_bench_json(tmp_path / baseline_path("scale"))
+    assert payload["name"] == "scale"
+    assert [r["key"] for r in payload["points"]] == \
+        [p.key() for p in GRIDS["scale"].factory()]
     assert "commit it" in capsys.readouterr().out
 
 
 def test_default_baseline_is_committed():
-    """The CI gate compares against this path; it must exist in-tree and
-    parse as a schema-1 smoke payload with the full default grid."""
-    payload = load_bench_json(DEFAULT_BASELINE)
-    assert payload["name"] == "smoke"
-    assert len(payload["points"]) == 6
-    for record in payload["points"]:
-        assert record["key"]["experiment"] == "smoke"
-        assert record["metrics"]
+    """The CI gate compares every grid against its committed baseline;
+    each must exist in-tree and hold exactly the keys of the grid's
+    default points (what CI's default run produces)."""
+    for name, grid in GRIDS.items():
+        payload = load_bench_json(baseline_path(name))
+        assert payload["name"] == name
+        assert [r["key"] for r in payload["points"]] == \
+            [p.key() for p in grid.factory()], name
+        for record in payload["points"]:
+            assert record["metrics"], name
 
 
-def test_summarize_cli_renders_markdown(tmp_path, capsys):
-    rc = main(["smoke-scale", "--jobs", "1", "--sizes", "4",
+def test_summarize_cli_renders_markdown(tmp_path, toy_scale, capsys):
+    toy_scale(4)
+    rc = main(["smoke", "--grid", "scale", "--jobs", "1",
                "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()

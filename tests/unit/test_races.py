@@ -18,7 +18,9 @@ import math
 import pytest
 
 from repro.analysis.races import (HappensBeforeTracer, diff_captures,
-                                  perturbation_seeds, scenario_points)
+                                  perturbation_seeds, race_grids,
+                                  scenario_points)
+from repro.orchestrate.points import GRIDS
 from repro.sim import access
 from repro.sim.events import (PRIORITY_TIMER, PRIORITY_WAKE,
                               set_default_tiebreak_seed)
@@ -77,11 +79,16 @@ def test_diff_captures_missing_key_and_length():
 
 
 def test_scenario_points_registry():
-    for name in ("fig7", "topo", "faults", "pipeline"):
-        points = scenario_points(name)
+    # The scenarios are the race-flagged smoke grids; only the scale grid
+    # is too big for the perturbation harness.
+    assert race_grids() == [name for name in GRIDS if name != "scale"]
+    for name in race_grids():
+        points = scenario_points(name, iterations=2)
         assert points, name
-    with pytest.raises(ValueError, match="unknown scenario"):
-        scenario_points("nope")
+        assert all(p.iterations == 2 for p in points), name
+    for name in ("nope", "scale", "fig7"):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            scenario_points(name)
 
 
 # ----------------------------------------------------------------------
